@@ -28,16 +28,11 @@ use dduf_events::event::{EventAtom, EventKind};
 pub struct UpdateProcessor {
     db: Database,
     old: Interpretation,
-    engine: Engine,
     opts: DownwardOptions,
-    /// Worker count for upward evaluation; `None` defers to the
-    /// process-default pool (`--threads` / `DDUF_THREADS`).
-    threads: Option<usize>,
-    /// Stateful maintenance engine (counting / DRed per stratum). When
-    /// present, [`commit_with_hook`](Self::commit_with_hook) interprets
-    /// transactions through it — change-proportional even under deletion —
-    /// instead of the stateless upward engines.
-    maint: Option<MaintenanceEngine>,
+    /// Stateful maintenance engine (counting / DRed per stratum):
+    /// [`commit_with_hook`](Self::commit_with_hook) interprets every
+    /// transaction through it, change-proportional even under deletion.
+    maint: MaintenanceEngine,
 }
 
 /// The full published state of a processor — what
@@ -51,52 +46,31 @@ pub struct ProcessorState {
     pub db: Database,
     /// The materialized current state of the derived predicates.
     pub interp: Interpretation,
-    /// The maintenance state (support counts + extensions), when
-    /// maintenance was enabled.
+    /// The maintenance state (support counts + extensions).
+    /// [`UpdateProcessor::into_state`] always fills it;
+    /// [`UpdateProcessor::from_state`] rebuilds it from `interp` when it
+    /// is `None`.
     pub maint: Option<MaintenanceEngine>,
 }
 
 impl UpdateProcessor {
-    /// Creates a processor, materializing the current state.
+    /// Creates a processor, materializing the current state and building
+    /// its [`MaintenanceEngine`] (counting for non-recursive strata, DRed
+    /// for recursive ones).
     pub fn new(db: Database) -> Result<UpdateProcessor> {
         let old = materialize(&db).map_err(Error::from)?;
+        let maint = MaintenanceEngine::new(&db, &old)?;
         Ok(UpdateProcessor {
             db,
             old,
-            engine: Engine::default(),
             opts: DownwardOptions::default(),
-            threads: None,
-            maint: None,
+            maint,
         })
     }
 
-    /// Enables stateful view maintenance: builds a
-    /// [`MaintenanceEngine`] (counting for non-recursive strata, DRed for
-    /// recursive ones — the strategy is selected per stratum, recursion is
-    /// no longer an error) from the current state, and routes every
-    /// subsequent commit through it.
-    pub fn with_maintenance(mut self) -> Result<UpdateProcessor> {
-        let engine = match self.threads {
-            Some(n) => MaintenanceEngine::new_pooled(
-                &self.db,
-                &self.old,
-                &dduf_datalog::eval::pool::Pool::new(n),
-            )?,
-            None => MaintenanceEngine::new(&self.db, &self.old)?,
-        };
-        self.maint = Some(engine);
-        Ok(self)
-    }
-
-    /// The maintenance engine, when enabled.
+    /// The maintenance engine. Always `Some`: every processor maintains.
     pub fn maintenance(&self) -> Option<&MaintenanceEngine> {
-        self.maint.as_ref()
-    }
-
-    /// Selects the upward engine.
-    pub fn with_engine(mut self, engine: Engine) -> UpdateProcessor {
-        self.engine = engine;
-        self
+        Some(&self.maint)
     }
 
     /// Sets the downward options.
@@ -105,57 +79,29 @@ impl UpdateProcessor {
         self
     }
 
-    /// Pins the worker count for upward evaluation (`0` = all available
-    /// hardware parallelism). Results are bit-identical at any thread
-    /// count; without this the process-default pool is used.
-    pub fn with_threads(mut self, threads: usize) -> UpdateProcessor {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Rebuilds a processor from previously published state parts
-    /// **without re-materializing** — the constructor behind snapshot
-    /// publication (`dduf serve`): the server's writer republishes
-    /// `(database, interpretation)` after every commit, and rebuilding
-    /// the next staging processor from those parts is a clone, not a
-    /// fixpoint evaluation.
+    /// Rebuilds a processor from previously published state **without
+    /// re-materializing** — the constructor behind snapshot publication
+    /// (`dduf serve`): rebuilding the writer's staging processor from the
+    /// published state is a clone, not a fixpoint evaluation.
     ///
-    /// Trusted: the caller asserts `interp` is exactly the
-    /// materialization of `db` (as [`into_state_parts`] of a live
-    /// processor guarantees). Handing in anything else produces a
-    /// processor whose upward interpretations are silently wrong.
-    ///
-    /// [`into_state_parts`]: Self::into_state_parts
-    pub fn from_parts(db: Database, interp: Interpretation) -> UpdateProcessor {
-        UpdateProcessor::from_state(ProcessorState {
-            db,
-            interp,
-            maint: None,
-        })
-    }
-
-    /// Surrenders the database and its materialized state — the
-    /// publication half of the snapshot-isolation hook. The pair is
-    /// exactly what [`from_parts`](Self::from_parts) accepts back.
-    /// Maintenance state, if any, is dropped; use
-    /// [`into_state`](Self::into_state) to keep it.
-    pub fn into_state_parts(self) -> (Database, Interpretation) {
-        (self.db, self.old)
-    }
-
-    /// [`from_parts`](Self::from_parts) including the maintenance state:
-    /// trusted, no re-derivation. `state.interp` must be the
-    /// materialization of `state.db` and `state.maint` (when present) its
-    /// consistent maintenance state, as [`into_state`](Self::into_state)
-    /// of a live processor guarantees.
+    /// Trusted: `state.interp` must be the materialization of `state.db`
+    /// and `state.maint` (when present) its consistent maintenance state,
+    /// as [`into_state`](Self::into_state) of a live processor
+    /// guarantees. Handing in anything else produces a processor whose
+    /// upward interpretations are silently wrong. With `maint: None` the
+    /// engine's counts are rebuilt from `interp` (no fixpoint
+    /// evaluation).
     pub fn from_state(state: ProcessorState) -> UpdateProcessor {
+        let maint = match state.maint {
+            Some(maint) => maint,
+            None => MaintenanceEngine::new(&state.db, &state.interp)
+                .expect("a materialized database is stratified"),
+        };
         UpdateProcessor {
             db: state.db,
             old: state.interp,
-            engine: Engine::default(),
             opts: DownwardOptions::default(),
-            threads: None,
-            maint: state.maint,
+            maint,
         }
     }
 
@@ -165,7 +111,7 @@ impl UpdateProcessor {
         ProcessorState {
             db: self.db,
             interp: self.old,
-            maint: self.maint,
+            maint: Some(self.maint),
         }
     }
 
@@ -193,20 +139,17 @@ impl UpdateProcessor {
 
     /// The raw upward interpretation of a transaction.
     pub fn upward(&self, txn: &Transaction) -> Result<UpwardResult> {
-        match self.threads {
-            Some(n) => upward::interpret_with_threads(&self.db, &self.old, txn, self.engine, n),
-            None => upward::interpret_with(&self.db, &self.old, txn, self.engine),
-        }
+        upward::interpret_with(&self.db, &self.old, txn, Engine::default())
     }
 
     /// §5.1.1 — does `txn` violate the integrity constraints?
     pub fn check_integrity(&self, txn: &Transaction) -> Result<ic_checking::CheckOutcome> {
-        ic_checking::check(&self.db, &self.old, txn, self.engine)
+        ic_checking::check(&self.db, &self.old, txn, Engine::default())
     }
 
     /// §5.1.1 — does `txn` restore a currently inconsistent database?
     pub fn restores_consistency(&self, txn: &Transaction) -> Result<ic_checking::RestoreOutcome> {
-        ic_checking::restores_consistency(&self.db, &self.old, txn, self.engine)
+        ic_checking::restores_consistency(&self.db, &self.old, txn, Engine::default())
     }
 
     /// §5.1.2 — changes induced on monitored conditions.
@@ -214,7 +157,7 @@ impl UpdateProcessor {
         &self,
         txn: &Transaction,
     ) -> Result<condition_monitoring::ConditionChanges> {
-        condition_monitoring::monitor(&self.db, &self.old, txn, None, self.engine)
+        condition_monitoring::monitor(&self.db, &self.old, txn, None, Engine::default())
     }
 
     /// §5.1.3 — maintain materialized views under `txn`.
@@ -223,7 +166,7 @@ impl UpdateProcessor {
         txn: &Transaction,
         store: &mut MaterializedViewStore,
     ) -> Result<view_maintenance::MaintenanceReport> {
-        view_maintenance::maintain(&self.db, &self.old, txn, store, self.engine)
+        view_maintenance::maintain(&self.db, &self.old, txn, store, Engine::default())
     }
 
     // ----- downward problems (§5.2) -----
@@ -404,43 +347,16 @@ impl UpdateProcessor {
         txn: &Transaction,
         hook: &mut dyn FnMut(&Transaction) -> Result<()>,
     ) -> Result<UpwardResult> {
-        // With maintenance enabled the stateful engine IS the upward
-        // interpretation (strategy-selected per stratum); its staged
-        // effect commits only after the hook succeeds.
-        if let Some(maint) = &self.maint {
-            let (result, staged) = maint.interpret(&self.db, txn)?;
-            hook(txn)?;
-            txn.apply_in_place(&mut self.db);
-            for (pred, rel) in &staged.new_exts {
-                self.old.set(*pred, rel.clone());
-            }
-            self.maint
-                .as_mut()
-                .expect("checked above")
-                .commit_staged(staged);
-            return Ok(result);
-        }
-        let result = self.upward(txn)?;
+        // The stateful engine IS the upward interpretation
+        // (strategy-selected per stratum); its staged effect commits only
+        // after the hook succeeds.
+        let (result, staged) = self.maint.interpret(&self.db, txn)?;
         hook(txn)?;
         txn.apply_in_place(&mut self.db);
-        // Update only the derived relations the events actually touch;
-        // cloning the whole interpretation per commit would make every
-        // small transaction pay for the size of the database.
-        let mut changed: Vec<(Pred, dduf_datalog::storage::Relation)> = Vec::new();
-        for (pred, _role) in self.db.program().predicates() {
-            if !self.db.program().is_derived(pred) {
-                continue;
-            }
-            let ins = result.derived.relation(EventKind::Ins, pred);
-            let del = result.derived.relation(EventKind::Del, pred);
-            if ins.is_empty() && del.is_empty() {
-                continue;
-            }
-            changed.push((pred, self.old.relation(pred).difference(del).union(ins)));
+        for (pred, rel) in &staged.new_exts {
+            self.old.set(*pred, rel.clone());
         }
-        for (pred, rel) in changed {
-            self.old.set(pred, rel);
-        }
+        self.maint.commit_staged(staged);
         Ok(result)
     }
 
@@ -507,12 +423,10 @@ impl UpdateProcessor {
         let new_interp = materialize(&new_db).map_err(Error::from)?;
         let induced =
             crate::upward::semantic::diff_interpretations(&new_db, &self.old, &new_interp);
+        // The strategy plan and counts are program-dependent: rebuild.
+        self.maint = MaintenanceEngine::new(&new_db, &new_interp)?;
         self.db = new_db;
         self.old = new_interp;
-        // The strategy plan and counts are program-dependent: rebuild.
-        if self.maint.is_some() {
-            self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
-        }
         Ok(crate::evolution::EvolutionResult {
             induced,
             rule_changes,
@@ -615,18 +529,19 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_without_rematerializing() {
+    fn from_state_without_maint_rebuilds_the_engine() {
         let mut p = processor();
         let txn = p.transaction("+works(dolors).").unwrap();
         p.commit(&txn).unwrap();
-        let before = (
-            dduf_datalog::pretty::database(p.database()),
-            p.interpretation().clone(),
-        );
-        let (db, interp) = p.into_state_parts();
-        let rebuilt = UpdateProcessor::from_parts(db, interp);
-        assert_eq!(dduf_datalog::pretty::database(rebuilt.database()), before.0);
-        assert_eq!(rebuilt.interpretation(), &before.1);
+        let state = p.into_state();
+        let expected = state.maint.clone().unwrap();
+        let rebuilt = UpdateProcessor::from_state(ProcessorState {
+            maint: None,
+            ..state
+        });
+        let m = rebuilt.maintenance().unwrap();
+        assert_eq!(m.extensions(), expected.extensions());
+        assert_eq!(m.counts(), expected.counts());
         // The rebuilt processor evaluates correctly from the carried state.
         let txn = rebuilt.transaction("-works(dolors).").unwrap();
         let res = rebuilt.upward(&txn).unwrap();
@@ -650,33 +565,32 @@ mod tests {
     }
 
     #[test]
-    fn maintained_commit_matches_stateless_commit() {
+    fn maintained_commit_matches_semantic_oracle() {
         let src = "e(a, b). e(b, c). e(a, c).
                    tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).
                    src(X) :- e(X, Y), not e(Y, X).";
         let txns = ["-e(b, c).", "+e(c, d). +e(b, c).", "-e(a, b). -e(a, c)."];
-        let db = parse_database(src).unwrap();
-        let mut maintained = UpdateProcessor::new(db.clone())
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
-        let mut plain = UpdateProcessor::new(db)
-            .unwrap()
-            .with_engine(Engine::Semantic);
+        let mut p = UpdateProcessor::new(parse_database(src).unwrap()).unwrap();
         for t in &txns {
-            let txn = maintained.transaction(t).unwrap();
-            let got = maintained.commit(&txn).unwrap();
-            let expected = plain.commit(&txn).unwrap();
-            assert_eq!(got, expected, "{t}");
-            assert_eq!(maintained.interpretation(), plain.interpretation(), "{t}");
+            let txn = p.transaction(t).unwrap();
+            let expected =
+                upward::interpret_with(p.database(), p.interpretation(), &txn, Engine::Semantic)
+                    .unwrap();
+            assert_eq!(p.commit(&txn).unwrap(), expected, "{t}");
+            assert_eq!(
+                p.interpretation(),
+                &materialize(p.database()).unwrap(),
+                "{t}"
+            );
         }
         // Maintenance state survives the round trip through the published
         // state (the server's per-batch path) without re-derivation.
-        let state = maintained.into_state();
+        let interp = p.interpretation().clone();
+        let state = p.into_state();
         assert!(state.maint.is_some());
         let rebuilt = UpdateProcessor::from_state(state);
-        assert_eq!(rebuilt.interpretation(), plain.interpretation());
-        assert!(rebuilt.maintenance().is_some());
+        assert_eq!(rebuilt.interpretation(), &interp);
+        assert_eq!(rebuilt.maintenance().unwrap().interpretation(), interp);
     }
 
     #[test]
@@ -686,10 +600,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let mut p = UpdateProcessor::new(db)
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let mut p = UpdateProcessor::new(db).unwrap();
         let before = p.maintenance().unwrap().tuple_count();
         let txn = p.transaction("-e(a, b).").unwrap();
         let err = p
@@ -706,10 +617,7 @@ mod tests {
     #[test]
     fn rule_updates_rebuild_maintenance() {
         let db = parse_database("e(a, b). e(b, c). v(X) :- e(X, Y).").unwrap();
-        let mut p = UpdateProcessor::new(db)
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let mut p = UpdateProcessor::new(db).unwrap();
         let rule = dduf_datalog::parser::parse_program("w(X) :- e(Y, X).")
             .unwrap()
             .program

@@ -3,19 +3,31 @@
 //!
 //! The paper frames materialized view maintenance (§5.1.3) as the updating
 //! problem where *deletions* are hard: a deleted base fact may or may not
-//! invalidate a derived one, depending on alternative support. The
-//! [`CountingEngine`](crate::upward::counting::CountingEngine) answers
-//! that with stored support counts, but counts only work for
-//! non-recursive programs — a recursive tuple can support itself through
-//! a cycle, so a positive count no longer implies an external derivation.
+//! invalidate a derived one, depending on alternative support. Stored
+//! support counts (Gupta, Mumick & Subrahmanian, SIGMOD 1993 — the
+//! \[GMS93\] the paper cites) answer that exactly, but counts only work
+//! for non-recursive programs — a recursive tuple can support itself
+//! through a cycle, so a positive count no longer implies an external
+//! derivation.
 //!
-//! [`MaintenanceEngine`] closes the gap. It walks the stratification's
-//! components in dependency order and picks a strategy per component:
+//! [`MaintenanceEngine`] therefore walks the stratification's components
+//! in dependency order and picks a strategy per component:
 //!
 //! | component      | strategy | deletion answer                        |
 //! |----------------|----------|----------------------------------------|
 //! | non-recursive  | counting | support count `>0 → 0` transition      |
 //! | recursive      | DRed     | overdelete to fixpoint, then rederive  |
+//!
+//! Counting maintains each tuple's **support count** — the number of rule
+//! bindings deriving it — by finite differencing of each rule body:
+//!
+//! ```text
+//! Δ(L₁ ⋈ … ⋈ Lₙ) = Σᵢ  L₁ⁿ ⋈ … ⋈ Lᵢ₋₁ⁿ ⋈ ΔLᵢ ⋈ Lᵢ₊₁ᵒ ⋈ … ⋈ Lₙᵒ
+//! ```
+//!
+//! with signed deltas (`+1` per inserted tuple, `−1` per deleted; signs
+//! flipped under negation). The induced events are the `0 → >0` and
+//! `>0 → 0` count transitions; deletions need no re-derivation check.
 //!
 //! The DRed pass (after Gupta–Mumick–Subrahmanian, with the Datalog
 //! formulation of Behrend's uniform fixpoint treatment) runs in three
@@ -42,7 +54,6 @@
 
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
-use crate::upward::counting::{rule_count_delta, CountDeltas};
 use crate::upward::UpwardResult;
 use dduf_datalog::ast::{Literal, Pred, Rule, Var};
 use dduf_datalog::eval::join::{eval_conjunct, ground_terms, match_tuple, Bindings, JoinStats};
@@ -56,6 +67,10 @@ use dduf_datalog::stratify::Stratification;
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+
+/// Support-count deltas per derived predicate, as staged by
+/// [`MaintenanceEngine::interpret`].
+pub type CountDeltas = BTreeMap<Pred, HashMap<Tuple, i64>>;
 
 /// The maintenance strategy chosen for one stratification component.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -699,6 +714,86 @@ impl MaintenanceEngine {
     }
 }
 
+/// Adds one rule's finite-difference contribution to `delta`.
+///
+/// For each body position `i` whose predicate changed, evaluates
+/// `L₁ⁿ … Lᵢ₋₁ⁿ ΔLᵢ Lᵢ₊₁ᵒ … Lₙᵒ`, seeding bindings from each delta
+/// tuple with its sign (positive occurrence: +1 insert / −1 delete;
+/// negative occurrence: signs flipped). `old_derived` must hold the old
+/// extension of every derived predicate in the rule body; `new_rels` the
+/// new extension (dependency order guarantees lower strata are final).
+fn rule_count_delta(
+    rule: &Rule,
+    db: &Database,
+    new_db: &Database,
+    events: &EventStore,
+    old_derived: &BTreeMap<Pred, Relation>,
+    new_rels: &BTreeMap<Pred, Relation>,
+    delta: &mut HashMap<Tuple, i64>,
+) {
+    let program = db.program();
+    for (i, lit) in rule.body.iter().enumerate() {
+        let p = lit.atom.pred;
+        let ins = events.relation(EventKind::Ins, p);
+        let del = events.relation(EventKind::Del, p);
+        if ins.is_empty() && del.is_empty() {
+            continue;
+        }
+        // Signed delta tuples for this occurrence.
+        let signed: Vec<(&Tuple, i64)> = ins
+            .iter()
+            .map(|t| (t, if lit.positive { 1 } else { -1 }))
+            .chain(del.iter().map(|t| (t, if lit.positive { -1 } else { 1 })))
+            .collect();
+
+        // Remaining literals: j<i on the new side, j>i on the old side.
+        let rest: Vec<&dduf_datalog::ast::Literal> = rule
+            .body
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, l)| l)
+            .collect();
+        let sides: Vec<bool> = (0..rule.body.len())
+            .filter(|&j| j != i)
+            .map(|j| j < i) // true = new side
+            .collect();
+        let rel_of = |k: usize| -> &Relation {
+            let l = rest[k];
+            let q = l.atom.pred;
+            let new_side = sides[k];
+            if program.is_derived(q) {
+                if new_side {
+                    // `new_rels` may be sparse (changed predicates only, as
+                    // the maintenance engine passes it): an absent entry
+                    // means the predicate did not change, so old == new.
+                    new_rels
+                        .get(&q)
+                        .unwrap_or_else(|| old_derived.get(&q).expect("collected above"))
+                } else {
+                    old_derived.get(&q).expect("collected above")
+                }
+            } else if new_side {
+                new_db.relation(q)
+            } else {
+                db.relation(q)
+            }
+        };
+
+        for (t, sign) in signed {
+            let Some(seed) =
+                dduf_datalog::eval::join::match_tuple(&lit.atom.terms, t, &Bindings::new())
+            else {
+                continue;
+            };
+            for b in eval_conjunct(&rest, &rel_of, &seed) {
+                let head = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+                *delta.entry(head).or_insert(0) += sign;
+            }
+        }
+    }
+}
+
 /// Per-interpret counters for the `upward.maintain` span.
 #[derive(Default)]
 struct DredCounters {
@@ -862,6 +957,12 @@ mod tests {
                         old.relation(pred),
                         "step {step}: stale extension for {pred}"
                     );
+                    for tup in old.relation(pred).iter() {
+                        assert!(
+                            engine.count(pred, tup) > 0,
+                            "step {step}: zero count for live {pred}{tup}"
+                        );
+                    }
                 }
             }
         }
@@ -880,6 +981,71 @@ mod tests {
         assert_eq!(engine.strategy(Pred::new("v", 1)), Some(Strategy::Counting));
         assert_eq!(engine.strategy(Pred::new("tc", 2)), Some(Strategy::DRed));
         assert_eq!(engine.strategy(Pred::new("e", 2)), None);
+    }
+
+    #[test]
+    fn counting_strata_match_semantic() {
+        let cases: [(&str, &[&str]); 4] = [
+            // Example 4.1.
+            (
+                "q(a). q(b). r(b). p(X) :- q(X), not r(X).",
+                &["-r(b).", "+r(a).", "-q(a)."],
+            ),
+            // Negation deltas under a constraint.
+            (
+                "la(dolors). la(joan). works(joan). u_benefit(dolors).
+                 unemp(X) :- la(X), not works(X).
+                 :- unemp(X), not u_benefit(X).",
+                &[
+                    "+works(dolors).",
+                    "-works(dolors).",
+                    "+la(maria). +u_benefit(maria).",
+                    "-works(joan).",
+                ],
+            ),
+            // Layered views.
+            (
+                "b(x). b(y). r(y).
+                 v1(X) :- b(X), not r(X).
+                 v2(X) :- v1(X).
+                 v3(X) :- v2(X), b(X).",
+                &["-r(y).", "+r(x).", "-b(x).", "+b(z)."],
+            ),
+            // Simultaneous mixed updates.
+            (
+                "q(a). r(a). q(b). s(b).
+                 p(X) :- q(X), not r(X).
+                 w(X) :- p(X), s(X).",
+                &["-r(a). +s(a). +q(c). +s(c)."],
+            ),
+        ];
+        for (src, txns) in cases {
+            check_against_semantic(src, txns);
+        }
+    }
+
+    #[test]
+    fn multi_support_deletion_needs_no_recheck() {
+        // v(k) has two supports; deleting one leaves count 1 (no event),
+        // deleting both drops it to 0 (event).
+        let src = "a(k). b(k). v(X) :- a(X). v(X) :- b(X).";
+        let (v, k) = (Pred::new("v", 1), syms(&["k"]));
+        for (txns, count) in [(&[][..], 2), (&["-a(k)."], 1), (&["-a(k).", "-b(k)."], 0)] {
+            let (_, engine) = check_against_semantic(src, txns);
+            assert_eq!(engine.count(v, &k), count, "{txns:?}");
+        }
+    }
+
+    #[test]
+    fn join_counts_multiply() {
+        // Two employees derive city_has(bcn) twice.
+        let src = "emp(john, sales). emp(mary, sales). dept(sales, bcn).
+                   city_has(C) :- emp(E, D), dept(D, C).";
+        let (city_has, bcn) = (Pred::new("city_has", 1), syms(&["bcn"]));
+        for (txns, count) in [(&[][..], 2), (&["-emp(john, sales)."], 1)] {
+            let (_, engine) = check_against_semantic(src, txns);
+            assert_eq!(engine.count(city_has, &bcn), count, "{txns:?}");
+        }
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //! * [`Engine::Incremental`] evaluates the (simplified) event rules
 //!   stratum-by-stratum, driving joins from event literals, and never
 //!   materializes the new state of unaffected predicates;
-//! * [`counting::CountingEngine`] (stateful, non-recursive programs only)
-//!   maintains support counts by finite differencing, after \[GMS93\] — the
-//!   maintenance algorithm the paper cites in §5.1.3.
+//! * [`maintain::MaintenanceEngine`] (stateful) keeps every derived
+//!   extension and picks an algorithm per stratum: support counting after
+//!   \[GMS93\] — the maintenance algorithm the paper cites in §5.1.3 — for
+//!   non-recursive strata, delete-and-rederive for recursive ones. It is
+//!   the engine every [`UpdateProcessor`](crate::UpdateProcessor) commit
+//!   runs through.
 //!
 //! All are differentially tested for equality on random programs.
 
-pub mod counting;
 pub mod incremental;
 pub mod maintain;
 pub mod semantic;

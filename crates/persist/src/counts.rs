@@ -253,10 +253,7 @@ mod tests {
     }
 
     fn engine() -> MaintenanceEngine {
-        let proc = UpdateProcessor::new(parse_database(SCHEMA).unwrap())
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let proc = UpdateProcessor::new(parse_database(SCHEMA).unwrap()).unwrap();
         proc.maintenance().unwrap().clone()
     }
 

@@ -113,14 +113,9 @@ impl DurableStore {
             .map_err(|e| dduf_core::Error::Storage(e.to_string()))
     }
 
-    /// Writes a snapshot of `db` covering the whole journal so far.
-    pub fn checkpoint(&mut self, db: &dduf_datalog::storage::database::Database) -> Result<u64> {
-        self.checkpoint_with_maint(db, None)
-    }
-
-    /// [`checkpoint`](Self::checkpoint) that also persists the maintenance
-    /// state next to the snapshot (or removes a stale counts file when the
-    /// session runs without maintenance). The snapshot is renamed into
+    /// Writes a snapshot of `db` covering the whole journal so far, and
+    /// persists the maintenance state next to it (or removes a stale
+    /// counts file when given none). The snapshot is renamed into
     /// place first: a crash between the two renames leaves a counts file
     /// whose `journal_pos` disagrees with the snapshot's, which recovery
     /// rejects and recomputes — never a torn restore.
@@ -161,12 +156,12 @@ impl DurableDb {
         }
         let db = dduf_datalog::parser::parse_database(schema_src)
             .map_err(|e| PersistError::Core(e.into()))?;
-        let proc = UpdateProcessor::new(db)?.with_maintenance()?;
+        let proc = UpdateProcessor::new(db)?;
         let journal = Journal::create(&dir.join(JOURNAL_FILE))?;
         snapshot::write(dir, proc.database(), journal.end())?;
         counts::write(
             dir,
-            proc.maintenance().expect("enabled above"),
+            proc.maintenance().expect("always maintained"),
             journal.end(),
         )?;
         Ok(DurableDb {
@@ -223,7 +218,7 @@ impl DurableDb {
             }
             None => {
                 dduf_obs::record("counts.persist", "", &[("recompute", 1)]);
-                UpdateProcessor::new(snap.db)?.with_maintenance()?
+                UpdateProcessor::new(snap.db)?
             }
         };
         let mut replayed = 0usize;

@@ -12,6 +12,11 @@
 //! order. A subsequent read on the *same* connection sees the write
 //! (reads settle all of the connection's outstanding mutations first,
 //! and the writer publishes before it acknowledges).
+//!
+//! A request line may hold at most [`MAX_LINE_BYTES`] bytes before its
+//! newline. A longer line is answered with one `err` frame naming the
+//! bound, and the session closes: the server never buffers more than
+//! the bound for one request.
 
 use crate::proto::write_response;
 use crate::state::StateCell;
@@ -22,11 +27,16 @@ use dduf_core::upward::Engine;
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::StateView;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The longest request line a session accepts, in bytes before the
+/// newline (16 MiB).
+pub const MAX_LINE_BYTES: u64 = 16 * 1024 * 1024;
 
 /// Everything a session needs, shared across all sessions.
 pub(crate) struct SessionCtx {
@@ -105,7 +115,7 @@ pub(crate) fn serve(stream: TcpStream, ctx: &SessionCtx) -> std::io::Result<()> 
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = std::io::BufWriter::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     let mut owed: Vec<Owed> = Vec::new();
     loop {
         // Replies are owed and the peer has no complete line already
@@ -114,10 +124,18 @@ pub(crate) fn serve(stream: TcpStream, ctx: &SessionCtx) -> std::io::Result<()> 
         if !owed.is_empty() && !reader.buffer().contains(&b'\n') {
             settle(&mut writer, &mut owed)?;
         }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        buf.clear();
+        let n = (&mut reader)
+            .take(MAX_LINE_BYTES + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
             return settle(&mut writer, &mut owed); // peer closed
         }
+        if n as u64 > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            return refuse_long_line(reader, writer, &mut owed);
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('%') {
             settle(&mut writer, &mut owed)?;
@@ -175,6 +193,29 @@ pub(crate) fn serve(stream: TcpStream, ctx: &SessionCtx) -> std::io::Result<()> 
             )?,
         }
     }
+}
+
+/// Answers a request line longer than [`MAX_LINE_BYTES`]: settles the
+/// owed replies, sends one `err` frame naming the bound, and closes.
+fn refuse_long_line(
+    reader: BufReader<TcpStream>,
+    mut writer: io::BufWriter<TcpStream>,
+    owed: &mut Vec<Owed>,
+) -> io::Result<()> {
+    settle(&mut writer, owed)?;
+    write_response(
+        &mut writer,
+        false,
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes; closing the session"),
+    )?;
+    // Half-close so the frame arrives ahead of the FIN, then discard
+    // (boundedly) what the peer already sent: closing a socket with
+    // unread input resets the connection, which could drop the frame.
+    let stream = writer.get_ref();
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    let _ = io::copy(&mut reader.take(MAX_LINE_BYTES), &mut io::sink());
+    Ok(())
 }
 
 /// Maps a command result onto the wire: `Ok` body vs rendered error.

@@ -24,7 +24,8 @@ pub struct Published {
     /// Materialization of every derived predicate over `db`.
     pub interp: Interpretation,
     /// The maintenance state (support counts + extensions) the writer
-    /// carries across group-committed batches, when enabled.
+    /// carries across group-committed batches. Always `Some` for a
+    /// state the writer published.
     pub maint: Option<MaintenanceEngine>,
     /// Journal byte offset this state is durable through.
     pub journal_end: u64,

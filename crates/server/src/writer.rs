@@ -12,34 +12,38 @@
 //! with the load — latency under contention buys throughput
 //! automatically, with no timers and no tuning.
 //!
-//! **Pipelining** (DESIGN.md §16) splits that cycle across two threads:
-//! the *stager* parses, checks, and evaluates batch N+1 while the
-//! *syncer* has batch N's `append_batch` fsync in flight. The serial
+//! The cycle has two steps: the *stager* parses, checks, and evaluates
+//! a batch; the *sync step* appends it behind one fsync, publishes, and
+//! releases the acks. **Pipelining** (DESIGN.md §16) runs the sync step
+//! on its own thread, joined to the stager by a rendezvous pipe, so
+//! batch N+1 stages while batch N's fsync is in flight: the serial
 //! floor drops from `stage + fsync` to `max(stage, fsync)` per batch.
-//! The contract does not move: acks are released by the syncer only
-//! after the corresponding fsync completes — never an `ok` before
-//! durable bytes — and the syncer alone publishes snapshots, so readers
-//! still only ever observe durable states.
+//! Without pipelining (`--serial`) the same sync step runs inline on
+//! the stager's thread. The contract does not move: acks are released
+//! only after the corresponding fsync completes — never an `ok` before
+//! durable bytes — and only the sync step publishes snapshots, so
+//! readers still only ever observe durable states.
 //!
-//! Write-ahead ordering is preserved batch-wide. In serial mode the
-//! staging processor is a *clone* of the published state, so a failed
-//! append just drops the clone. In pipelined mode the stager keeps a
-//! long-lived staging processor one-or-two batches ahead of disk; every
-//! staged batch carries an **epoch**, and an append failure poisons the
-//! current epoch: the syncer demotes the failed batch *and every
-//! in-flight batch staged on top of it* (their state was never
-//! durable), and the stager rebuilds its staging processor from the
-//! last published — durable — snapshot under a fresh epoch. Crash
-//! mid-batch leaves a clean prefix of the batch's records (plus at most
-//! one torn record) — and since no member of the batch was
-//! acknowledged, recovery to any prefix is correct.
+//! Write-ahead ordering is preserved batch-wide. The stager keeps a
+//! long-lived staging processor ahead of disk; every staged batch
+//! carries an **epoch**, and an append failure poisons the current
+//! epoch: the sync step demotes the failed batch *and every in-flight
+//! batch staged on top of it* (their state was never durable), and the
+//! stager rebuilds its staging processor from the last published —
+//! durable — snapshot under a fresh epoch. Crash mid-batch leaves a
+//! clean prefix of the batch's records (plus at most one torn record)
+//! — and since no member of the batch was acknowledged, recovery to
+//! any prefix is correct.
 
 use crate::state::{Published, StateCell};
 use dduf_core::problems::ic_checking::CheckOutcome;
 use dduf_core::processor::{ProcessorState, UpdateProcessor};
+use dduf_core::upward::maintain::MaintenanceEngine;
+use dduf_datalog::eval::Interpretation;
+use dduf_datalog::storage::database::Database;
 use dduf_persist::{serialize_transaction, DurableStore};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 /// How many staged batches may sit between the stager and the syncer.
@@ -157,24 +161,19 @@ struct StagedBatch {
     /// The staging epoch this batch was built under; stale epochs are
     /// demoted by the syncer after an append failure.
     epoch: u64,
-    /// One journal payload per staged commit, in stage order.
-    payloads: Vec<String>,
     /// The post-batch state to publish once the payloads are durable.
     state: ProcessorState,
-    /// How many jobs staged as commits / settled as rejections / failed.
-    committed: u64,
-    rejected: u64,
-    failed: u64,
-    /// Every job's reply channel and its staged outcome, in job order.
+    /// Every job's reply channel and its staged outcome (a committed
+    /// job carries its journal payload), in job order.
     outcomes: Vec<(Sender<Reply>, Staged)>,
 }
 
-/// What flows from the stager to the syncer. Admin jobs ride the same
-/// ordered channel, so a `:checkpoint` is a natural barrier: it runs
-/// after every batch staged before it is durable and published.
+/// What flows from the stager to the sync step. Checkpoints ride the
+/// same ordered channel, so a `:checkpoint` is a natural barrier: it
+/// runs after every batch staged before it is durable and published.
 enum PipeItem {
     Batch(Box<StagedBatch>),
-    Admin(Job),
+    Checkpoint(Sender<Reply>),
 }
 
 /// Runs the writer until every job sender is gone.
@@ -190,277 +189,217 @@ pub(crate) fn run(
     // journal.append) lands in the server's shared report.
     let _guard = dduf_obs::install_shared(&metrics);
     let max_batch = opts.max_batch.max(1);
-    if opts.pipeline {
-        run_pipelined(jobs, &cell, store, &metrics, &gauge, max_batch);
-    } else {
-        run_serial(jobs, &cell, store, &gauge, max_batch);
-    }
-}
-
-/// The unpipelined loop: stage, fsync, publish, ack — one thread.
-fn run_serial(
-    jobs: Receiver<Job>,
-    cell: &StateCell,
-    mut store: DurableStore,
-    gauge: &QueueGauge,
-    max_batch: usize,
-) {
-    loop {
-        let first = match jobs.recv() {
-            Ok(job) => job,
-            Err(_) => break, // all sessions and acceptors are gone
-        };
-        gauge.note_dequeue();
-        let mut batch = Vec::new();
-        let mut deferred = None;
-        match first {
-            Job::Apply { .. } => batch.push(first),
-            admin => {
-                run_admin(admin, cell, &mut store);
-                continue;
-            }
-        }
-        drain_batch(&jobs, gauge, max_batch, &mut batch, &mut deferred);
-        commit_batch(batch, cell, &mut store);
-        if let Some(admin) = deferred {
-            run_admin(admin, cell, &mut store);
-        }
-    }
-}
-
-/// Group: drain whatever queued while the previous fsync ran. Admin
-/// jobs are barriers — they end the batch.
-fn drain_batch(
-    jobs: &Receiver<Job>,
-    gauge: &QueueGauge,
-    max_batch: usize,
-    batch: &mut Vec<Job>,
-    deferred: &mut Option<Job>,
-) {
-    while batch.len() < max_batch {
-        match jobs.try_recv() {
-            Ok(job @ Job::Apply { .. }) => {
-                gauge.note_dequeue();
-                batch.push(job);
-            }
-            Ok(admin) => {
-                gauge.note_dequeue();
-                *deferred = Some(admin);
-                break;
-            }
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-        }
-    }
-}
-
-/// The pipelined write path: this thread stages; a spawned syncer
-/// thread owns the store, fsyncs, publishes, and acks.
-fn run_pipelined(
-    jobs: Receiver<Job>,
-    cell: &StateCell,
-    store: DurableStore,
-    metrics: &Arc<dduf_obs::SharedCollector>,
-    gauge: &QueueGauge,
-    max_batch: usize,
-) {
-    let (pipe_tx, pipe_rx) = std::sync::mpsc::sync_channel::<PipeItem>(PIPE_DEPTH);
     // Epochs below this staged on state that never reached disk; the
-    // syncer bumps it on append failure, the stager reads it before
+    // sync step bumps it on append failure, the stager reads it before
     // staging and rebuilds from the published (durable) snapshot.
-    let min_valid = Arc::new(AtomicU64::new(0));
+    let min_valid = AtomicU64::new(0);
+    let mut syncer = Syncer::new(&cell, store, &min_valid);
+    if !opts.pipeline {
+        stage_loop(&jobs, &cell, &gauge, max_batch, &min_valid, |item| {
+            syncer.handle(item);
+            true
+        });
+        return;
+    }
+    let (pipe_tx, pipe_rx) = std::sync::mpsc::sync_channel::<PipeItem>(PIPE_DEPTH);
     std::thread::scope(|s| {
-        let syncer = {
-            let min_valid = min_valid.clone();
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("dduf-syncer".to_string())
-                .spawn_scoped(s, move || {
-                    let _guard = dduf_obs::install_shared(&metrics);
-                    sync_loop(pipe_rx, cell, store, &min_valid);
-                })
-                .expect("spawn syncer thread")
-        };
-
-        // Long-lived staging state, one-or-two batches ahead of disk.
-        // `None` forces a rebuild from the published snapshot.
-        let mut staging: Option<UpdateProcessor> = None;
-        let mut epoch = 0u64;
-        loop {
-            let first = match jobs.recv() {
-                Ok(job) => job,
-                Err(_) => break, // all sessions and acceptors are gone
-            };
-            gauge.note_dequeue();
-            let mv = min_valid.load(Ordering::Acquire);
-            if mv > epoch {
-                // A batch failed to append: everything staged since is
-                // invalid. Start over from the durable snapshot.
-                epoch = mv;
-                staging = None;
-            }
-            let mut batch = Vec::new();
-            let mut deferred = None;
-            match first {
-                Job::Apply { .. } => batch.push(first),
-                admin => {
-                    if pipe_tx.send(PipeItem::Admin(admin)).is_err() {
-                        break;
-                    }
-                    continue;
+        let sync_thread = std::thread::Builder::new()
+            .name("dduf-syncer".to_string())
+            .spawn_scoped(s, move || {
+                let _guard = dduf_obs::install_shared(&metrics);
+                for item in pipe_rx {
+                    syncer.handle(item);
                 }
-            }
-            drain_batch(&jobs, gauge, max_batch, &mut batch, &mut deferred);
-            let staged = stage_batch(&mut staging, epoch, batch, cell);
-            if pipe_tx.send(PipeItem::Batch(Box::new(staged))).is_err() {
-                break; // the syncer died; nothing left to ack
-            }
-            if let Some(admin) = deferred {
-                if pipe_tx.send(PipeItem::Admin(admin)).is_err() {
-                    break;
-                }
-            }
-        }
-        drop(pipe_tx); // syncer drains the pipeline and exits
-        let _ = syncer.join();
+            })
+            .expect("spawn syncer thread");
+        stage_loop(&jobs, &cell, &gauge, max_batch, &min_valid, |item| {
+            pipe_tx.send(item).is_ok()
+        });
+        drop(pipe_tx); // the syncer drains the pipeline and exits
+        let _ = sync_thread.join();
     });
 }
 
+/// The staging loop: drains batches, stages them, and hands each to the
+/// sync step through `forward` (the pipe, or the sync step itself when
+/// unpipelined). Returns once the job queue closes or `forward` reports
+/// the sync step gone.
+fn stage_loop(
+    jobs: &Receiver<Job>,
+    cell: &StateCell,
+    gauge: &QueueGauge,
+    max_batch: usize,
+    min_valid: &AtomicU64,
+    mut forward: impl FnMut(PipeItem) -> bool,
+) {
+    // Long-lived staging state, ahead of disk. `None` forces a rebuild
+    // from the published snapshot.
+    let mut staging: Option<UpdateProcessor> = None;
+    let mut epoch = 0u64;
+    while let Ok(first) = jobs.recv() {
+        let mv = min_valid.load(Ordering::Acquire);
+        if mv > epoch {
+            // A batch failed to append: everything staged since is
+            // invalid. Start over from the durable snapshot.
+            epoch = mv;
+            staging = None;
+        }
+        // Group: take whatever queued while the previous fsync ran, up
+        // to the cap. A checkpoint is a barrier — it ends the batch.
+        let mut batch = Vec::new();
+        let mut checkpoint = None;
+        let mut next = Ok(first);
+        while let Ok(job) = next {
+            gauge.note_dequeue();
+            match job {
+                Job::Apply {
+                    src,
+                    checked,
+                    reply,
+                } => batch.push((src, checked, reply)),
+                Job::Checkpoint { reply } => {
+                    checkpoint = Some(reply);
+                    break;
+                }
+            }
+            if batch.len() == max_batch {
+                break;
+            }
+            next = jobs.try_recv();
+        }
+        if !batch.is_empty() {
+            let staged = stage_batch(&mut staging, epoch, batch, cell);
+            if !forward(PipeItem::Batch(Box::new(staged))) {
+                return; // the sync step died; nothing left to ack
+            }
+        }
+        if let Some(reply) = checkpoint {
+            if !forward(PipeItem::Checkpoint(reply)) {
+                return;
+            }
+        }
+    }
+}
+
 /// Stages one batch on the long-lived staging processor and clones out
-/// the post-batch state for the syncer to publish.
+/// the post-batch state for the sync step to publish.
 fn stage_batch(
     staging: &mut Option<UpdateProcessor>,
     epoch: u64,
-    batch: Vec<Job>,
+    batch: Vec<(String, bool, Sender<Reply>)>,
     cell: &StateCell,
 ) -> StagedBatch {
     let timer = dduf_obs::timer();
     let proc = match staging {
         Some(proc) => proc,
         None => {
-            let clone_timer = dduf_obs::timer();
             let cur = cell.load();
-            let proc = UpdateProcessor::from_state(ProcessorState {
-                db: cur.db.clone(),
-                interp: cur.interp.clone(),
-                maint: cur.maint.clone(),
-            });
-            dduf_obs::record_timed(
-                "server.clone",
-                "",
-                &[("clones", 1), ("facts", cur.db.fact_count() as u64)],
-                clone_timer.elapsed_us(),
-            );
-            staging.insert(proc)
+            let state = clone_state(&cur.db, &cur.interp, cur.maint.as_ref());
+            staging.insert(UpdateProcessor::from_state(state))
         }
     };
-    let (payloads, committed, rejected, failed, outcomes) = stage_jobs(proc, batch);
+    let outcomes: Vec<(Sender<Reply>, Staged)> = batch
+        .into_iter()
+        .map(|(src, checked, reply)| (reply, stage_one(proc, &src, checked)))
+        .collect();
     // The staging processor lives on for batch N+1, so the publishable
-    // state is a clone — the pipelined counterpart of serial mode's
-    // clone-then-into_state (one clone per batch either way).
-    let clone_timer = dduf_obs::timer();
-    let state = ProcessorState {
-        db: proc.database().clone(),
-        interp: proc.interpretation().clone(),
-        maint: proc.maintenance().cloned(),
-    };
-    dduf_obs::record_timed(
-        "server.clone",
-        "",
-        &[("clones", 1), ("facts", state.db.fact_count() as u64)],
-        clone_timer.elapsed_us(),
-    );
+    // state is a clone (one clone per batch).
+    let state = clone_state(proc.database(), proc.interpretation(), proc.maintenance());
+    let (committed, _, _) = tally(&outcomes);
     dduf_obs::record_timed(
         "server.stage",
         "",
         &[
             ("batches", 1),
-            ("requests", committed + rejected + failed),
+            ("requests", outcomes.len() as u64),
             ("staged", committed),
         ],
         timer.elapsed_us(),
     );
     StagedBatch {
         epoch,
-        payloads,
         state,
-        committed,
-        rejected,
-        failed,
         outcomes,
     }
 }
 
-/// Stages every job of a batch serially against `proc`. Returns the
-/// journal payloads plus per-outcome bookkeeping.
-#[allow(clippy::type_complexity)]
-fn stage_jobs(
-    proc: &mut UpdateProcessor,
-    batch: Vec<Job>,
-) -> (Vec<String>, u64, u64, u64, Vec<(Sender<Reply>, Staged)>) {
-    let mut outcomes: Vec<(Sender<Reply>, Staged)> = Vec::with_capacity(batch.len());
-    let (mut committed, mut rejected, mut failed) = (0u64, 0u64, 0u64);
-    for job in batch {
-        let Job::Apply {
-            src,
-            checked,
-            reply,
-        } = job
-        else {
-            unreachable!("only Apply jobs are batched");
-        };
-        let outcome = stage_one(proc, &src, checked);
-        match &outcome {
+/// Clones a processor state, traced as `server.clone`.
+fn clone_state(
+    db: &Database,
+    interp: &Interpretation,
+    maint: Option<&MaintenanceEngine>,
+) -> ProcessorState {
+    let timer = dduf_obs::timer();
+    let state = ProcessorState {
+        db: db.clone(),
+        interp: interp.clone(),
+        maint: maint.cloned(),
+    };
+    dduf_obs::record_timed(
+        "server.clone",
+        "",
+        &[("clones", 1), ("facts", db.fact_count() as u64)],
+        timer.elapsed_us(),
+    );
+    state
+}
+
+/// How many of a batch's jobs staged as commits / settled as
+/// rejections / failed.
+fn tally(outcomes: &[(Sender<Reply>, Staged)]) -> (u64, u64, u64) {
+    let (mut committed, mut rejected, mut failed) = (0, 0, 0);
+    for (_, outcome) in outcomes {
+        match outcome {
             Staged::Committed { .. } => committed += 1,
             Staged::Settled(r) if r.ok => rejected += 1,
             Staged::Settled(_) => failed += 1,
         }
-        outcomes.push((reply, outcome));
     }
-    let payloads = outcomes
-        .iter()
-        .filter_map(|(_, o)| match o {
-            Staged::Committed { payload, .. } => Some(payload.clone()),
-            Staged::Settled(_) => None,
-        })
-        .collect();
-    (payloads, committed, rejected, failed, outcomes)
+    (committed, rejected, failed)
 }
 
-/// The durability stage: appends each staged batch behind one fsync,
-/// publishes the batch's state, and releases its acks — in pipeline
-/// order. On an append failure it poisons the epoch so every batch
-/// staged on the unfsynced state is demoted too.
-fn sync_loop(
-    pipe: Receiver<PipeItem>,
-    cell: &StateCell,
-    mut store: DurableStore,
-    min_valid: &AtomicU64,
-) {
-    let mut commits = cell.load().commits;
-    let mut poisoned_below = 0u64;
-    for item in pipe {
+/// The sync step: appends each staged batch behind one fsync, publishes
+/// the batch's state, and releases its acks — in staging order. On an
+/// append failure it poisons the epoch so every batch staged on the
+/// unfsynced state is demoted too.
+struct Syncer<'a> {
+    cell: &'a StateCell,
+    store: DurableStore,
+    min_valid: &'a AtomicU64,
+    commits: u64,
+    poisoned_below: u64,
+}
+
+impl<'a> Syncer<'a> {
+    fn new(cell: &'a StateCell, store: DurableStore, min_valid: &'a AtomicU64) -> Syncer<'a> {
+        Syncer {
+            cell,
+            store,
+            min_valid,
+            commits: cell.load().commits,
+            poisoned_below: 0,
+        }
+    }
+
+    fn handle(&mut self, item: PipeItem) {
         let StagedBatch {
             epoch,
-            payloads,
             state,
-            committed,
-            rejected,
-            failed,
             outcomes,
         } = match item {
-            PipeItem::Admin(job) => {
-                run_admin(job, cell, &mut store);
-                continue;
+            PipeItem::Checkpoint(reply) => {
+                checkpoint(reply, self.cell, &mut self.store);
+                return;
             }
             PipeItem::Batch(batch) => *batch,
         };
         let timer = dduf_obs::timer();
-        if epoch < poisoned_below {
+        if epoch < self.poisoned_below {
             // Staged on top of a batch that never reached disk: the
             // same demotion rule as the append error itself — no ok
             // without durable bytes. The diagnostic is retryable; the
             // stager has already rebuilt from the durable snapshot.
-            record_batch(committed, rejected, failed, 0, timer.elapsed_us(), true);
+            record_batch(&outcomes, 0, timer.elapsed_us(), true);
             release_acks(
                 outcomes,
                 Some(
@@ -468,29 +407,36 @@ fn sync_loop(
                      this transaction was rolled back — retry",
                 ),
             );
-            continue;
+            return;
         }
+        let payloads: Vec<&str> = outcomes
+            .iter()
+            .filter_map(|(_, o)| match o {
+                Staged::Committed { payload, .. } => Some(payload.as_str()),
+                Staged::Settled(_) => None,
+            })
+            .collect();
         let mut fsyncs = 0u64;
         let mut append_error = None;
         if !payloads.is_empty() {
-            match store.record_commit_batch(&payloads) {
+            match self.store.record_commit_batch(&payloads) {
                 Ok(end) => {
                     fsyncs = 1;
-                    commits += committed;
-                    cell.publish(Published {
+                    self.commits += payloads.len() as u64;
+                    self.cell.publish(Published {
                         db: state.db,
                         interp: state.interp,
                         maint: state.maint,
                         journal_end: end,
-                        commits,
+                        commits: self.commits,
                     });
                 }
                 Err(e) => {
                     // Nothing became durable and nothing was
                     // acknowledged; later in-flight batches staged on
                     // this state are demoted when they arrive.
-                    poisoned_below = epoch + 1;
-                    min_valid.store(poisoned_below, Ordering::Release);
+                    self.poisoned_below = epoch + 1;
+                    self.min_valid.store(self.poisoned_below, Ordering::Release);
                     append_error = Some(e.to_string());
                 }
             }
@@ -506,9 +452,7 @@ fn sync_loop(
             timer.elapsed_us(),
         );
         record_batch(
-            committed,
-            rejected,
-            failed,
+            &outcomes,
             fsyncs,
             timer.elapsed_us(),
             append_error.is_some(),
@@ -517,21 +461,20 @@ fn sync_loop(
     }
 }
 
-/// Records the batch-level summary span (shared with serial mode, so
-/// dashboards and the bench read one phase across both write paths).
+/// Records the batch-level summary span — the only place `server.batch`
+/// is recorded.
 fn record_batch(
-    committed: u64,
-    rejected: u64,
-    failed: u64,
+    outcomes: &[(Sender<Reply>, Staged)],
     fsyncs: u64,
     elapsed_us: Option<u64>,
     demoted: bool,
 ) {
+    let (committed, rejected, failed) = tally(outcomes);
     dduf_obs::record_timed(
         "server.batch",
         "",
         &[
-            ("requests", committed + rejected + failed),
+            ("requests", outcomes.len() as u64),
             ("committed", if demoted { 0 } else { committed }),
             ("rejected", rejected),
             ("failed", failed),
@@ -562,67 +505,6 @@ fn release_acks(outcomes: Vec<(Sender<Reply>, Staged)>, demote: Option<&str>) {
         // A client that hung up before its ack is not an error.
         let _ = reply.send(r);
     }
-}
-
-/// Serial mode: stages, journals (one fsync), publishes, and
-/// acknowledges one batch on the calling thread.
-fn commit_batch(batch: Vec<Job>, cell: &StateCell, store: &mut DurableStore) {
-    let timer = dduf_obs::timer();
-    let clone_timer = dduf_obs::timer();
-    let cur = cell.load();
-    // The maintenance state travels with the clone, so support counts
-    // stay current across group-committed batches.
-    let mut staged = UpdateProcessor::from_state(ProcessorState {
-        db: cur.db.clone(),
-        interp: cur.interp.clone(),
-        maint: cur.maint.clone(),
-    });
-    dduf_obs::record_timed(
-        "server.clone",
-        "",
-        &[("clones", 1), ("facts", cur.db.fact_count() as u64)],
-        clone_timer.elapsed_us(),
-    );
-    let (payloads, committed, rejected, failed, outcomes) = stage_jobs(&mut staged, batch);
-    let mut fsyncs = 0u64;
-    let mut append_error = None;
-    if !payloads.is_empty() {
-        match store.record_commit_batch(&payloads) {
-            Ok(end) => {
-                fsyncs = 1;
-                let state = staged.into_state();
-                cell.publish(Published {
-                    db: state.db,
-                    interp: state.interp,
-                    maint: state.maint,
-                    journal_end: end,
-                    commits: cur.commits + committed,
-                });
-            }
-            Err(e) => {
-                // Nothing became durable and nothing was acknowledged:
-                // the staging clone is discarded with the old state
-                // still published. Every staged commit fails loudly.
-                append_error = Some(e.to_string());
-            }
-        }
-    }
-    dduf_obs::record_timed(
-        "server.batch",
-        "",
-        &[
-            ("requests", committed + rejected + failed),
-            (
-                "committed",
-                if append_error.is_none() { committed } else { 0 },
-            ),
-            ("rejected", rejected),
-            ("failed", failed),
-            ("fsyncs", fsyncs),
-        ],
-        timer.elapsed_us(),
-    );
-    release_acks(outcomes, append_error.as_deref());
 }
 
 /// Parses, optionally checks, and stages one transaction against the
@@ -672,28 +554,22 @@ fn stage_one(staged: &mut UpdateProcessor, src: &str, checked: bool) -> Staged {
     }
 }
 
-/// Admin jobs run between batches, against the published state. In
-/// pipelined mode they execute on the syncer after every earlier batch
-/// is durable and published, so `:checkpoint` still covers exactly the
-/// acknowledged history.
-fn run_admin(job: Job, cell: &StateCell, store: &mut DurableStore) {
-    match job {
-        Job::Checkpoint { reply } => {
-            let cur = cell.load();
-            let r = match store.checkpoint_with_maint(&cur.db, cur.maint.as_ref()) {
-                Ok(pos) => Reply {
-                    ok: true,
-                    text: format!("checkpoint written (journal covered to byte {pos})"),
-                },
-                Err(e) => Reply {
-                    ok: false,
-                    text: e.to_string(),
-                },
-            };
-            let _ = reply.send(r);
-        }
-        Job::Apply { .. } => unreachable!("Apply jobs are batched"),
-    }
+/// Checkpoints run between batches, against the published state. They
+/// execute in the sync step after every earlier batch is durable and
+/// published, so `:checkpoint` covers exactly the acknowledged history.
+fn checkpoint(reply: Sender<Reply>, cell: &StateCell, store: &mut DurableStore) {
+    let cur = cell.load();
+    let r = match store.checkpoint_with_maint(&cur.db, cur.maint.as_ref()) {
+        Ok(pos) => Reply {
+            ok: true,
+            text: format!("checkpoint written (journal covered to byte {pos})"),
+        },
+        Err(e) => Reply {
+            ok: false,
+            text: e.to_string(),
+        },
+    };
+    let _ = reply.send(r);
 }
 
 /// The sender side of the job queue plus everything a session needs to

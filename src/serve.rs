@@ -30,7 +30,8 @@ usage: dduf serve <dir> [--addr HOST:PORT] [--sessions N] [--max-batch N]
        --queue-cap     commit-queue high-water mark in jobs (default 256)
        --backpressure  policy when the queue is full: block the session or
                        answer a retryable `busy` error (default block)
-       --serial        disable write pipelining (stage and fsync on one thread)";
+       --serial        disable write pipelining: the writer runs each batch's
+                       fsync inline instead of overlapping it with staging";
 
 fn usage_err(msg: &str) -> i32 {
     eprintln!("dduf serve: {msg}\n{SERVE_USAGE}");

@@ -646,18 +646,29 @@ fn maintained_stream_fingerprints_are_deterministic() {
     }
 }
 
-/// The stateful counting engine ([GMS93]) agrees with the semantic
-/// oracle across a whole *sequence* of transactions (statefulness is
-/// the point: counts must stay correct step after step).
+/// The maintenance engine's counting strategy ([GMS93]) agrees with the
+/// semantic oracle across a whole *sequence* of transactions
+/// (statefulness is the point: counts must stay correct step after
+/// step). `RandProgram` is non-recursive, so every stratum counts.
 #[test]
 fn counting_engine_matches_semantic_over_sequences() {
+    use dduf::core::upward::maintain::{MaintenanceEngine, Strategy};
+
     let mut rng = Rng::new(0xC0117);
     for case in 0..64 {
         let prog = RandProgram::gen(&mut rng);
         let mut db = parse_database(&prog.to_source()).expect("parses");
         let mut old = materialize(&db).expect("stratified");
-        let mut engine =
-            dduf::core::upward::counting::CountingEngine::new(&db, &old).expect("non-recursive");
+        let mut engine = MaintenanceEngine::new(&db, &old).expect("engine");
+        for (pred, _role) in db.program().predicates() {
+            if db.program().is_derived(pred) {
+                assert_eq!(
+                    engine.strategy(pred),
+                    Some(Strategy::Counting),
+                    "case {case}"
+                );
+            }
+        }
         let steps = 1 + rng.usize(3);
         for step in 0..steps {
             let txn = gen_txn(&mut rng, &db);

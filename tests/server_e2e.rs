@@ -294,6 +294,41 @@ fn framing_bytes_in_content_survive_the_wire() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A request line one byte over the bound gets one `err` frame naming
+/// the bound, after the replies the session already owes, and then the
+/// session closes; a second connection is still served.
+#[test]
+fn overlong_request_line_is_refused_and_the_server_keeps_serving() {
+    let dir = tmpdir("longline");
+    make_db(&dir);
+    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let cap = dduf::server::session::MAX_LINE_BYTES as usize;
+    let mut client = Client::connect(addr);
+    let mut request = b":apply +item(a, s1).\n".to_vec();
+    request.resize(request.len() + cap + 1, b'x');
+    request.push(b'\n');
+    client.stream.write_all(&request).unwrap();
+    let (ok, lines) = read_response(&mut client.reader).unwrap();
+    assert!(ok && lines[0].starts_with("applied"), "{lines:?}");
+    let (ok, lines) = read_response(&mut client.reader).unwrap();
+    assert!(!ok, "{lines:?}");
+    assert!(lines[0].contains(&cap.to_string()), "{lines:?}");
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).unwrap(), 0, "{rest:?}");
+
+    let mut other = Client::connect(addr);
+    assert_eq!(other.send(":ping"), (true, vec!["pong".to_string()]));
+    let (ok, lines) = other.send(":query item(a, X)");
+    assert!(
+        ok && lines.contains(&"item(a, s1)".to_string()),
+        "{lines:?}"
+    );
+    let (ok, _) = other.send(":shutdown");
+    assert!(ok);
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Saturating a tiny commit queue in `reject` mode: the overflow gets
 /// the retryable `busy` diagnostic, every accepted commit is acked and
 /// durable, `:stats` agrees with the client on the rejection count,

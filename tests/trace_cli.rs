@@ -166,6 +166,8 @@ fn stats_command_reports_in_session() {
     assert!(stdout.contains("trace report"), "{stdout}");
     assert!(stdout.contains("eval.materialize"), "{stdout}");
     assert!(stdout.contains("upward.apply"), "{stdout}");
+    // The commit itself runs through the maintenance engine.
+    assert!(stdout.contains("upward.maintain"), "{stdout}");
     // No --trace flag: nothing on stderr.
     assert!(
         out.stderr.is_empty(),
